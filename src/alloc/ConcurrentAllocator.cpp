@@ -4,10 +4,8 @@
 
 #include "alloc/SizeClass.h"
 #include "diefast/CanaryOps.h"
-#include "support/MpscQueue.h"
 
 #include <cassert>
-#include <new>
 #include <unordered_map>
 
 using namespace exterminator;
@@ -106,14 +104,24 @@ ConcurrentAllocator::~ConcurrentAllocator() {
 
 ConcurrentAllocator::ThreadCache &ConcurrentAllocator::createCache() {
   std::lock_guard<std::mutex> Lock(CacheLock);
-  AllCaches.emplace_back(new ThreadCache(sizeclass::numClasses()));
+  // The k-th cache's fill stream depends only on the heap seed and k, so
+  // a run that creates its caches in a fixed order is reproducible.
+  const uint64_t CanarySeed = (Cfg.Heap.Seed ^ 0xca11a7c0ffee1234ULL) +
+                              (AllCaches.size() + 1) * 0x9e3779b97f4a7c15ULL;
+  AllCaches.emplace_back(new ThreadCache(sizeclass::numClasses(), CanarySeed));
   return *AllCaches.back();
 }
 
-ConcurrentAllocator::ThreadCache &ConcurrentAllocator::threadCache() {
+ConcurrentAllocator::ThreadCache *ConcurrentAllocator::ownCache() const {
   for (const TlsEntry &E : Tls.Entries)
     if (E.Owner == this && E.Instance == InstanceId)
-      return *E.Cache;
+      return E.Cache;
+  return nullptr;
+}
+
+ConcurrentAllocator::ThreadCache &ConcurrentAllocator::threadCache() {
+  if (ThreadCache *Own = ownCache())
+    return *Own;
   ThreadCache &Fresh = createCache();
   Tls.Entries.push_back(TlsEntry{this, InstanceId, &Fresh});
   return Fresh;
@@ -205,12 +213,11 @@ void *ConcurrentAllocator::allocateFrom(ThreadCache &Cache, size_t Size,
 
 void ConcurrentAllocator::refill(ThreadCache &Cache, unsigned ClassIndex) {
   auto Lock = lockBackend();
-  // Drain before drawing: every free queued up to this point re-enters
-  // the uniform lottery before any new slot is picked.  (This ordering
-  // is also what makes MagazineSize == 1 bit-identical to the direct
-  // backend.)
-  if (PendingRemote.load(std::memory_order_acquire) > 0)
-    drainRemoteFrees();
+  // Flush before drawing: every free this thread made re-enters the
+  // uniform lottery before it picks a new slot.  (This ordering is also
+  // what makes MagazineSize == 1 bit-identical to the direct backend.)
+  if (ThreadCache *Own = ownCache())
+    flushFreesLocked(*Own);
   auto &Magazine = Cache.Magazines[ClassIndex];
   while (Magazine.size() < Cfg.MagazineSize) {
     Miniheap *Mini = nullptr;
@@ -256,7 +263,7 @@ void ConcurrentAllocator::deallocate(void *Ptr) {
     return;
   }
 
-  // Lock-free: resolve through the page directory, claim, push.
+  // Lock-free: resolve through the page directory, claim, fill, batch.
   const auto Resolved = Backend.resolvePointer(Ptr);
   if (!Resolved || static_cast<uint8_t *>(Ptr) != Resolved->SlotStart) {
     // Outside the heap or mid-object: invalid free, counted and ignored
@@ -274,17 +281,22 @@ void ConcurrentAllocator::deallocate(void *Ptr) {
     return;
   }
 
-  // This claim owns the slot until the owner drains it.  Stamp the free
-  // site now — it belongs to this thread's context — and hand the slot
-  // over as a queue node built in the dead object's first bytes (slots
-  // are >= MinObjectSize == 8 >= sizeof(MpscNode)).  FreeTime is stamped
-  // at drain, from the re-synced clock.
+  // This claim owns the slot until the batch flushes.  Stamp the free
+  // site now (it belongs to this thread's context) and lay down the
+  // canary here, outside the lock: the slot stays allocated in the
+  // bitmap until the flush, so no sweep or draw reads it meanwhile.
+  // FreeTime is stamped at the flush, from the re-synced clock.
   Mini.slot(Slot).FreeSite = Context ? Context->currentSite() : 0;
-  static_assert(sizeof(MpscNode) <= sizeclass::MinObjectSize,
-                "remote-free nodes must fit the smallest slot");
-  auto *Node = new (Ptr) MpscNode;
-  Mini.remoteFreeQueue().push(Node);
-  PendingRemote.fetch_add(1, std::memory_order_release);
+  ThreadCache &Cache = threadCache();
+  if (Cfg.DieFastCanaries)
+    canary_ops::canaryFillFreedSlot(Mini, HeapCanary, Cache.CanaryRng,
+                                    Cfg.CanaryFillProbability, Slot);
+  Cache.Frees.push_back(ThreadCache::CachedSlot{Resolved->Ref, &Mini});
+  Cache.BufferedFrees.store(Cache.Frees.size(), std::memory_order_relaxed);
+  if (Cache.Frees.size() >= 2 * Cfg.MagazineSize) {
+    auto Lock = lockBackend();
+    flushFreesLocked(Cache);
+  }
 }
 
 void ConcurrentAllocator::baselineDeallocate(void *Ptr) {
@@ -303,45 +315,25 @@ void ConcurrentAllocator::baselineDeallocate(void *Ptr) {
                                   Cfg.CanaryFillProbability, Ref.SlotIndex);
 }
 
-uint64_t ConcurrentAllocator::drainRemoteFrees() {
-  uint64_t Drained = 0;
-  Backend.forEachMiniheap([&](unsigned C, unsigned H, Miniheap &Mini) {
-    MpscNode *Node = Mini.remoteFreeQueue().drainAll();
-    if (!Node)
-      return;
-    // Collect every slot index before processing any: the nodes live in
-    // the freed objects themselves, and a canary fill of one slot must
-    // not clobber a link we have yet to follow.
-    DrainScratch.clear();
-    for (; Node; Node = Node->Next) {
-      std::optional<size_t> Slot = Mini.slotContaining(Node);
-      assert(Slot && "queued node must lie in its own miniheap");
-      DrainScratch.push_back(*Slot);
-    }
-    for (const size_t Slot : DrainScratch) {
-      const ObjectRef Ref{C, H, Slot};
-      // The free site was stamped by the freeing thread; deallocateIn
-      // would otherwise sample the draining thread's context.
-      const SiteId Site = Mini.slot(Slot).FreeSite;
-      [[maybe_unused]] const bool Freed = Backend.deallocateResolved(Ref, Site);
-      assert(Freed && "pending-free claim is exclusive; drain cannot "
-                      "double-free");
-      if (Cfg.DieFastCanaries) {
-        canary_ops::sweepFreedNeighbors(
-            Mini, HeapCanary, Ref, [&](const ObjectRef &Corrupt) {
-              Backend.quarantine(Corrupt);
-              signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
-            });
-        canary_ops::canaryFillFreedSlot(Mini, HeapCanary, CanaryRng,
-                                        Cfg.CanaryFillProbability, Slot);
-      }
-      ++Drained;
-    }
-  });
-  if (Drained)
-    PendingRemote.fetch_sub(static_cast<int64_t>(Drained),
-                            std::memory_order_relaxed);
-  return Drained;
+void ConcurrentAllocator::flushFreesLocked(ThreadCache &Cache) {
+  for (const ThreadCache::CachedSlot &Freed : Cache.Frees) {
+    Miniheap &Mini = *Freed.Heap;
+    // The free site was stamped by the freeing thread; deallocateIn
+    // would otherwise sample the flushing thread's context.
+    const SiteId Site = Mini.slot(Freed.Ref.SlotIndex).FreeSite;
+    [[maybe_unused]] const bool Returned =
+        Backend.deallocateResolved(Freed.Ref, Site);
+    assert(Returned && "pending-free claim is exclusive; a flush cannot "
+                       "double-free");
+    if (Cfg.DieFastCanaries)
+      canary_ops::sweepFreedNeighbors(
+          Mini, HeapCanary, Freed.Ref, [&](const ObjectRef &Corrupt) {
+            Backend.quarantine(Corrupt);
+            signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
+          });
+  }
+  Cache.Frees.clear();
+  Cache.BufferedFrees.store(0, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -349,6 +341,7 @@ uint64_t ConcurrentAllocator::drainRemoteFrees() {
 //===----------------------------------------------------------------------===//
 
 void ConcurrentAllocator::flushCacheLocked(ThreadCache &Cache) {
+  flushFreesLocked(Cache);
   for (auto &Magazine : Cache.Magazines) {
     for (const ThreadCache::CachedSlot &Slot : Magazine)
       Backend.releaseReserved(Slot.Ref);
@@ -358,14 +351,14 @@ void ConcurrentAllocator::flushCacheLocked(ThreadCache &Cache) {
 
 void ConcurrentAllocator::flushCache(ThreadCache &Cache) {
   auto Lock = lockBackend();
-  drainRemoteFrees();
+  if (ThreadCache *Own = ownCache())
+    flushFreesLocked(*Own);
   flushCacheLocked(Cache);
 }
 
 void ConcurrentAllocator::flushAll() {
   std::lock_guard<std::mutex> Caches(CacheLock);
   auto Lock = lockBackend();
-  drainRemoteFrees();
   for (auto &Cache : AllCaches)
     flushCacheLocked(*Cache);
 }
@@ -382,6 +375,14 @@ const AllocatorStats &ConcurrentAllocator::stats() const {
   }
   Aggregated = S;
   return Aggregated;
+}
+
+uint64_t ConcurrentAllocator::pendingRemoteFrees() const {
+  std::lock_guard<std::mutex> Caches(CacheLock);
+  uint64_t N = 0;
+  for (const auto &Cache : AllCaches)
+    N += Cache->BufferedFrees.load(std::memory_order_relaxed);
+  return N;
 }
 
 void ConcurrentAllocator::signalError(ErrorSignalKind Kind,

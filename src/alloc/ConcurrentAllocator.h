@@ -21,15 +21,19 @@
 ///    the DieFast canary check/zero-fill runs per slot at hand-out, just
 ///    as in the single-threaded heap.
 ///
-///  * **Deallocation** never takes the lock: the pointer resolves
-///    through the lock-free page directory, an atomic *pending-free* bit
-///    claims the slot (making concurrent double frees detectable without
-///    the lock), and one lock-free push queues the slot on its own
-///    miniheap's MPSC remote-free queue — the node lives in the dead
-///    object's first bytes, so the free path allocates nothing.  Owners
-///    drain all queues at the start of every refill/flush, before new
-///    slots are drawn, so a freed slot re-enters the uniform lottery at
-///    the next draw.
+///  * **Deallocation** is the freeing thread's own work.  The pointer
+///    resolves through the lock-free page directory, an atomic
+///    *pending-free* bit claims the slot (making concurrent double frees
+///    detectable without the lock), and the thread does the DieFast
+///    canary fill (§3.3) itself, outside the lock, with its cache's own
+///    random stream.  The slot then joins a per-thread *free batch*; it
+///    stays marked allocated in the bitmap until the batch is flushed, so
+///    no concurrent neighbor sweep or placement draw can see it
+///    half-freed.  A flush (under the lock) returns the batch to the
+///    backend and runs the neighbor sweeps.  Batches flush at the start
+///    of the owning thread's every refill, before any draw — so each of
+///    its frees is back in the uniform lottery before its next draw —
+///    when they reach 2 x MagazineSize slots, and on cache flushes.
 ///
 ///  * **Pointer lookup** is lock-free end to end: the page directory
 ///    republishes epoch-style on growth (support/PageTable.h), and slab
@@ -57,6 +61,7 @@
 #include "alloc/DieHardHeap.h"
 #include "diefast/Canary.h"
 #include "diefast/ErrorSignal.h"
+#include "support/RandomGenerator.h"
 
 #include <atomic>
 #include <cstdint>
@@ -78,7 +83,7 @@ struct ConcurrentAllocatorConfig {
   size_t MagazineSize = 32;
   /// Apply DieFast semantics (§3.3) to every slot: canary verify/
   /// quarantine at hand-out, neighbor sweeps and probabilistic canary
-  /// fill at drain.  Off = plain DieHard semantics.
+  /// fill at free.  Off = plain DieHard semantics.
   bool DieFastCanaries = false;
   /// Probability p of canary-filling a freed slot (canary mode only).
   double CanaryFillProbability = 1.0;
@@ -86,7 +91,7 @@ struct ConcurrentAllocatorConfig {
   /// DieFastConfig).
   bool ZeroFillAllocations = true;
   /// Bench baseline: one mutex around the backend for every operation,
-  /// no caches, no remote-free queues.  Never enable in production.
+  /// no caches, no free batches.  Never enable in production.
   bool GlobalLockBaseline = false;
 };
 
@@ -109,10 +114,19 @@ public:
       Miniheap *Heap;
     };
 
-    explicit ThreadCache(size_t NumClasses) : Magazines(NumClasses) {}
+    ThreadCache(size_t NumClasses, uint64_t CanarySeed)
+        : Magazines(NumClasses), CanaryRng(CanarySeed) {}
 
     /// Pre-drawn slots per size class, consumed back-to-front.
     std::vector<std::vector<CachedSlot>> Magazines;
+    /// Slots this thread freed and canary-filled, still marked allocated
+    /// in the backend until flushFreesLocked returns them.
+    std::vector<CachedSlot> Frees;
+    /// Frees.size(), readable from any thread (pendingRemoteFrees).
+    std::atomic<uint64_t> BufferedFrees{0};
+    /// Canary-fill coin flips (p < 1) for this cache's frees; seeded from
+    /// the heap seed and the cache's creation order.
+    RandomGenerator CanaryRng;
     /// Front-end counters; atomic because stats() aggregates them while
     /// the owning thread runs.
     std::atomic<uint64_t> Allocations{0};
@@ -128,8 +142,9 @@ public:
   /// flushed back automatically at thread exit).
   void *allocate(size_t Size) override;
 
-  /// Lock-free remote free: resolve, claim, push.  Safe from any thread,
-  /// including threads that never allocated.
+  /// Lock-free free into the calling thread's free batch: resolve,
+  /// claim, canary-fill, append.  Safe from any thread, including threads
+  /// that never allocated.  Takes the lock only when the batch is full.
   void deallocate(void *Ptr) override;
 
   const char *name() const override {
@@ -155,11 +170,11 @@ public:
   void *allocateFrom(ThreadCache &Cache, size_t Size,
                      ObjectRef *RefOut = nullptr);
 
-  /// Returns every magazine slot of \p Cache to the backend free pool
-  /// and drains all remote-free queues.
+  /// Returns every magazine slot of \p Cache to the backend free pool,
+  /// along with the free batches of \p Cache and of the calling thread.
   void flushCache(ThreadCache &Cache);
 
-  /// Flushes every cache and drains every queue.  Call at quiescence;
+  /// Flushes every cache's magazines and free batch.  Call at quiescence;
   /// afterwards the backend's live count equals the program's live
   /// objects exactly.
   void flushAll();
@@ -190,11 +205,9 @@ public:
     return LockAcquires.load(std::memory_order_relaxed);
   }
 
-  /// Frees pushed but not yet drained (hint; exact under quiescence).
-  uint64_t pendingRemoteFrees() const {
-    const int64_t N = PendingRemote.load(std::memory_order_relaxed);
-    return N > 0 ? static_cast<uint64_t>(N) : 0;
-  }
+  /// Frees buffered in thread caches, not yet returned to the backend
+  /// (a snapshot; exact under quiescence).
+  uint64_t pendingRemoteFrees() const;
 
   /// The shared backend, for tests and heap-image capture.  Quiescence
   /// required; flushAll() first for exact live accounting.
@@ -205,15 +218,20 @@ public:
   const Canary &canary() const { return HeapCanary; }
 
 private:
-  /// Drains every miniheap's remote-free queue into the backend
-  /// (BackendLock held).  Returns the number of slots freed.
-  uint64_t drainRemoteFrees();
+  /// The calling thread's cache for this allocator, or null if it has
+  /// none yet.
+  ThreadCache *ownCache() const;
 
-  /// Tops up one magazine under the backend lock: drain first, then
-  /// draw, so every queued free is back in the lottery before any draw.
+  /// Returns \p Cache's free batch to the backend and sweeps each freed
+  /// slot's neighbors (BackendLock held).
+  void flushFreesLocked(ThreadCache &Cache);
+
+  /// Tops up one magazine under the backend lock: the calling thread's
+  /// free batch first, then the draws, so each of its frees is back in
+  /// the lottery before any draw.
   void refill(ThreadCache &Cache, unsigned ClassIndex);
 
-  /// flushCache body with BackendLock already held.
+  /// Returns \p Cache's free batch and magazines (BackendLock held).
   void flushCacheLocked(ThreadCache &Cache);
 
   /// Baseline-mode operations (BackendLock held): the single-threaded
@@ -230,14 +248,14 @@ private:
   ConcurrentAllocatorConfig Cfg;
   const CallContext *Context;
   DieHardHeap Backend;
-  /// Canary-mode randomness (drain-time fills); seeded exactly like
-  /// DieFastHeap's so MagazineSize == 1 reproduces its placements.
+  /// Canary-mode randomness: draws the canary value, exactly as
+  /// DieFastHeap seeds it, then serves the baseline mode's fills.
   RandomGenerator CanaryRng;
   Canary HeapCanary;
   ErrorSignalHandler OnError;
 
-  /// Serializes every backend mutation: refills, drains, flushes,
-  /// baseline-mode operations.
+  /// Serializes every backend mutation: refills, flushes, baseline-mode
+  /// operations.
   mutable std::mutex BackendLock;
   /// Guards AllCaches (creation + stats aggregation).  Lock order:
   /// CacheLock before BackendLock; never the reverse.
@@ -247,9 +265,6 @@ private:
   /// Front-end allocation clock; object ids are fetch_add'ed from it
   /// without the lock.
   std::atomic<uint64_t> Clock{0};
-  /// Queued-but-undrained frees (drain-skip hint; may transiently read
-  /// negative while a drain races a push's counter increment).
-  std::atomic<int64_t> PendingRemote{0};
   std::atomic<uint64_t> LockAcquires{0};
   std::atomic<uint64_t> ErrorsSignalled{0};
   /// Lock-free-path free errors (the backend's counters only see frees
@@ -260,10 +275,6 @@ private:
   /// Identifies this instance across reuse of its address (thread-exit
   /// flushes check it against the live-instance registry).
   uint64_t InstanceId;
-
-  /// Scratch for drainRemoteFrees (lock-held; avoids per-drain
-  /// allocation).
-  std::vector<size_t> DrainScratch;
 
   /// Aggregation target for stats().
   mutable AllocatorStats Aggregated;

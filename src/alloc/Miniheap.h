@@ -23,7 +23,6 @@
 #define EXTERMINATOR_ALLOC_MINIHEAP_H
 
 #include "support/Bitmap.h"
-#include "support/MpscQueue.h"
 #include "support/SiteHash.h"
 
 #include <atomic>
@@ -122,16 +121,15 @@ public:
     return Metadata[Slot];
   }
 
-  /// \name Remote-free support (concurrent front-end, PR 7)
+  /// \name Lock-free free support (concurrent front-end)
   /// A free from a thread that does not hold the backend lock claims the
-  /// slot's *pending-free* bit, pushes a node into this miniheap's queue,
-  /// and returns; the bit makes the claim exclusive, so double frees from
-  /// racing threads are detected without the lock, and the slot cannot be
-  /// enqueued twice.  The owner drains the queue under the lock and
-  /// clears the bit only when the slot is next committed — between drain
-  /// and commit the slot is free (or quarantined) and a stale free
-  /// attempt must keep bouncing off the set bit rather than scribble a
-  /// queue node into memory it no longer owns.
+  /// slot's *pending-free* bit, then keeps the slot in its own free batch
+  /// until a flush returns it under the lock; the bit makes the claim
+  /// exclusive, so double frees from racing threads are detected without
+  /// the lock, and the slot cannot be batched twice.  The bit clears only
+  /// when the slot is next committed — between flush and commit the slot
+  /// is free (or quarantined) and a stale free attempt must keep bouncing
+  /// off the set bit rather than canary-fill memory it no longer owns.
   /// @{
 
   /// Atomically claims the pending-free bit for \p Slot.  Returns true
@@ -153,9 +151,6 @@ public:
     PendingFreeWords[Slot >> 6].fetch_and(~Bit, std::memory_order_release);
   }
 
-  /// This miniheap's remote-free queue (drained under the backend lock).
-  MpscQueue &remoteFreeQueue() { return RemoteFrees; }
-
   /// @}
 
 private:
@@ -172,8 +167,6 @@ private:
   /// initialized to zero.  Kept separate from InUse, which stays a plain
   /// bitmap owned by the lock holder.
   std::unique_ptr<std::atomic<uint64_t>[]> PendingFreeWords;
-  /// Frees pushed by threads not holding the backend lock.
-  MpscQueue RemoteFrees;
 };
 
 } // namespace exterminator

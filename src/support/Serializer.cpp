@@ -199,6 +199,8 @@ bool FileSink::close() {
 
 size_t MemorySource::read(void *Out, size_t Count) {
   const size_t Take = Count < Size - Offset ? Count : Size - Offset;
+  if (Take == 0)
+    return 0; // Data may be null (an empty buffer); memcpy forbids it.
   std::memcpy(Out, Data + Offset, Take);
   Offset += Take;
   return Take;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -780,7 +781,7 @@ TEST(ConcurrentAllocator, CorruptedCanaryIsQuarantinedOnCachedPath) {
   void *Doomed = Alloc.allocateFrom(Cache, 16);
   ASSERT_NE(Doomed, nullptr);
   Alloc.deallocate(Doomed);
-  Alloc.flushCache(Cache); // Drain: the slot is canary-filled now.
+  Alloc.flushCache(Cache); // Flush: the slot is back in the free pool.
   static_cast<uint8_t *>(Doomed)[3] ^= 0xff; // The dangling write.
 
   std::vector<void *> Kept;
@@ -887,6 +888,115 @@ TEST(ConcurrentAllocator, ThreadExitFlushesItsCache) {
   EXPECT_EQ(Alloc.stats().Deallocations, 1u);
 }
 
+TEST(ConcurrentAllocator, WriteAfterFreeBeforeFlushIsQuarantined) {
+  // The freeing thread lays down the canary at the free itself, so a
+  // dangling write made while the slot still sits in the free batch —
+  // before any refill or flush returns it to the backend — is caught at
+  // hand-out: the slot is quarantined and exactly one error fires.
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(6);
+  Cfg.MagazineSize = 4;
+  Cfg.DieFastCanaries = true;
+  ConcurrentAllocator Alloc(Cfg);
+  std::vector<ErrorSignalKind> Kinds;
+  Alloc.setErrorHandler(
+      [&](const ErrorSignal &Signal) { Kinds.push_back(Signal.Kind); });
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.createCache();
+
+  void *Doomed = Alloc.allocateFrom(Cache, 16);
+  ASSERT_NE(Doomed, nullptr);
+  Alloc.deallocate(Doomed);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 1u) << "the free was not batched";
+  static_cast<uint8_t *>(Doomed)[3] ^= 0xff; // The dangling write.
+
+  std::vector<void *> Kept;
+  for (int I = 0; I < 2000 && Alloc.errorsSignalled() == 0; ++I) {
+    void *Ptr = Alloc.allocateFrom(Cache, 16);
+    ASSERT_NE(Ptr, nullptr);
+    ASSERT_NE(Ptr, Doomed) << "corrupted slot was handed out";
+    Kept.push_back(Ptr);
+  }
+  EXPECT_EQ(Alloc.errorsSignalled(), 1u);
+  ASSERT_EQ(Kinds.size(), 1u);
+  EXPECT_EQ(Kinds[0], ErrorSignalKind::CanaryCorruptOnAlloc);
+
+  const auto Resolved = Alloc.backend().resolvePointer(Doomed);
+  ASSERT_TRUE(Resolved.has_value());
+  EXPECT_TRUE(Resolved->Heap->slot(Resolved->Ref.SlotIndex).Bad)
+      << "corrupted slot was not quarantined";
+  for (void *Ptr : Kept)
+    Alloc.deallocate(Ptr);
+}
+
+TEST(ConcurrentAllocator, FreeOnlyThreadBoundsItsBatch) {
+  // A thread that frees but never allocates never refills, so only the
+  // batch-size bound and its exit flush return its frees: it may hold at
+  // most 2 x MagazineSize of them, and after it joins nothing is left.
+  constexpr size_t Magazine = 8;
+  constexpr size_t N = 500;
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(41);
+  Cfg.MagazineSize = Magazine;
+  Cfg.DieFastCanaries = true;
+  ConcurrentAllocator Alloc(Cfg);
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.createCache();
+  std::vector<void *> Ptrs;
+  for (size_t I = 0; I < N; ++I) {
+    Ptrs.push_back(Alloc.allocateFrom(Cache, 32));
+    ASSERT_NE(Ptrs.back(), nullptr);
+  }
+  Alloc.flushCache(Cache); // Only the program's objects stay live.
+  ASSERT_EQ(Alloc.backend().liveObjectCount(), N);
+
+  uint64_t MostBuffered = 0;
+  std::thread Freer([&] {
+    for (void *Ptr : Ptrs) {
+      Alloc.deallocate(Ptr);
+      MostBuffered = std::max(MostBuffered, Alloc.pendingRemoteFrees());
+    }
+  });
+  Freer.join();
+  EXPECT_GT(MostBuffered, 0u);
+  EXPECT_LE(MostBuffered, 2 * Magazine);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
+  EXPECT_EQ(Alloc.stats().Deallocations, N);
+  EXPECT_EQ(Alloc.errorsSignalled(), 0u);
+}
+
+TEST(ConcurrentAllocator, ChurnOnOneCacheAmortizesLocks) {
+  // Interleaved alloc/free on one thread's own cache: each refill also
+  // returns the thread's free batch, so frees add no acquisitions of
+  // their own and the lock stays at ~1/MagazineSize per alloc/free pair
+  // — under the 2/MagazineSize budget.
+  constexpr uint64_t Pairs = 20000;
+  constexpr size_t Magazine = 32;
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(43);
+  Cfg.MagazineSize = Magazine;
+  Cfg.DieFastCanaries = true;
+  Cfg.CanaryFillProbability = 0.5;
+  ConcurrentAllocator Alloc(Cfg);
+
+  RandomGenerator Ops(43);
+  std::vector<void *> Resident;
+  for (uint64_t I = 0; I < Pairs; ++I) {
+    Resident.push_back(Alloc.allocate(16 << Ops.nextBelow(3)));
+    ASSERT_NE(Resident.back(), nullptr);
+    std::swap(Resident[Ops.nextBelow(Resident.size())], Resident.back());
+    if (Resident.size() > 24) {
+      Alloc.deallocate(Resident.back());
+      Resident.pop_back();
+    }
+  }
+  EXPECT_LE(Alloc.backendLockAcquires(), 2 * Pairs / Magazine);
+  for (void *Ptr : Resident)
+    Alloc.deallocate(Ptr);
+  Alloc.flushAll();
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
+  EXPECT_EQ(Alloc.errorsSignalled(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Page retirement (PR 9)
 //===----------------------------------------------------------------------===//
@@ -938,7 +1048,7 @@ TEST(PageRetirement, ForeignPageRetiresNothing) {
 
 TEST(PageRetirement, MagazinePathHonorsRetirement) {
   // The concurrent front-end's magazines pre-draw slots; retirement must
-  // hold through refills, remote-free drains, and cache flushes.
+  // hold through refills, free-batch flushes, and cache flushes.
   ConcurrentAllocatorConfig Cfg;
   Cfg.Heap = testConfig(88);
   Cfg.MagazineSize = 8;
@@ -952,7 +1062,7 @@ TEST(PageRetirement, MagazinePathHonorsRetirement) {
       reinterpret_cast<uintptr_t>(Ptrs[3]) & ~uintptr_t(0xfff);
   Front.backend().retirePage(Page);
 
-  // Lock-free frees of retired-page objects drain into quarantine.
+  // Lock-free frees of retired-page objects flush into quarantine.
   for (void *Ptr : Ptrs)
     Front.deallocate(Ptr);
   // Flush returns reserved magazine slots: retired ones must not rejoin.
